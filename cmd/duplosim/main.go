@@ -59,7 +59,7 @@ var (
 	simSMs     = flag.Int("sms", 4, "SMs simulated")
 	batch      = flag.Int("batch", 0, "override batch size (default Table I's 8)")
 	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	smWorkers  = flag.Int("sm-workers", 0, "goroutines sharding the SMs inside each simulation (0 = GOMAXPROCS, 1 = serial reference loop; results identical)")
+	smWorkers  = flag.Int("sm-workers", 1, "goroutines sharding the SMs inside each simulation (1 = serial reference loop, 0 = GOMAXPROCS; results identical)")
 	dense      = flag.Bool("dense", false, "force the dense (non-cycle-skipping) clock")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -1,6 +1,7 @@
 package duplo
 
 import (
+	"math/rand"
 	"testing"
 
 	"duplo/internal/conv"
@@ -227,5 +228,100 @@ func TestEliminationFractionMatchesAnalytic(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("expected duplicate eliminations")
+	}
+}
+
+// TestDetectionUnitRetireReleasesAtMostOne pins the chain-length claim of
+// lhbEntry.nextUser: Access gives every row load its own sequence number
+// and a row load inserts or relays exactly one entry, so Retire(seq)
+// releases at most one entry — in every LHB mode, with hits relaying
+// entries between sequence numbers and retirement running out of order.
+func TestDetectionUnitRetireReleasesAtMostOne(t *testing.T) {
+	p := conv.Params{N: 2, H: 8, W: 8, C: 4, K: 1, FH: 3, FW: 3, Pad: 1, Stride: 1}
+	layout := lowering.NewLayout(p, 0x1000, 2)
+	for _, lhb := range []LHBConfig{DefaultLHBConfig(), {Entries: 64, Ways: 4}, {Oracle: true}} {
+		du, err := NewDetectionUnit(DetectionUnitConfig{LHB: lhb, LatencyCycles: 2}, 8, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := du.Program(p, layout); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		var pending []uint64
+		hits, ones := 0, 0
+		retire := func(i int) {
+			before := du.LHBStats().Releases
+			du.Retire(pending[i])
+			switch d := du.LHBStats().Releases - before; d {
+			case 0:
+			case 1:
+				ones++
+			default:
+				t.Fatalf("%+v: Retire(%d) released %d entries", lhb, pending[i], d)
+			}
+			pending = append(pending[:i], pending[i+1:]...)
+		}
+		for step := 0; step < 20000; step++ {
+			addr := layout.Addr(rng.Intn(p.GemmM()), rng.Intn(p.GemmK()))
+			res, seq := du.Access(rng.Intn(8), rng.Intn(16), addr, int64(step))
+			if res.Kind == AccessHit {
+				hits++
+			}
+			pending = append(pending, seq)
+			if len(pending) > 48 {
+				retire(rng.Intn(len(pending)))
+			}
+		}
+		for len(pending) > 0 {
+			retire(len(pending) - 1)
+		}
+		if hits == 0 || ones == 0 {
+			t.Fatalf("%+v: vacuous run (hits=%d, single releases=%d)", lhb, hits, ones)
+		}
+		if live := du.lhb.Live(); live != 0 {
+			t.Fatalf("%+v: %d entries live after every load retired", lhb, live)
+		}
+	}
+}
+
+// TestRenameSharingMatchesTable checks SharedWith and LivePhysRegs against
+// counts rebuilt from the table after every op of seeded random
+// Alloc/RenameTo sequences, across Resets.
+func TestRenameSharingMatchesTable(t *testing.T) {
+	const warps, regs = 8, 16
+	rt := NewRenameTable(warps, regs)
+	rng := rand.New(rand.NewSource(7))
+	var allocated []PhysReg
+	for step := 0; step < 5000; step++ {
+		w, a := rng.Intn(warps), rng.Intn(regs)
+		switch r := rng.Intn(100); {
+		case r == 0:
+			rt.Reset()
+			allocated = allocated[:0]
+		case r < 30 || len(allocated) == 0:
+			allocated = append(allocated, rt.Alloc(w, a))
+		default:
+			rt.RenameTo(w, a, allocated[rng.Intn(len(allocated))])
+		}
+		counts := map[PhysReg]int{}
+		for w := 0; w < warps; w++ {
+			for a := 0; a < regs; a++ {
+				if r := rt.Lookup(w, a); r != InvalidReg {
+					counts[r]++
+				}
+			}
+		}
+		if got := rt.LivePhysRegs(); got != len(counts) {
+			t.Fatalf("step %d: LivePhysRegs %d, table holds %d distinct", step, got, len(counts))
+		}
+		for _, r := range allocated {
+			if got := rt.SharedWith(r); got != counts[r] {
+				t.Fatalf("step %d: SharedWith(%d) = %d, table holds %d", step, r, got, counts[r])
+			}
+		}
+		if got := rt.SharedWith(InvalidReg); got != 0 {
+			t.Fatalf("step %d: SharedWith(InvalidReg) = %d", step, got)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package duplo
 import (
 	"fmt"
 	"math/bits"
+
+	"duplo/internal/flatmap"
 )
 
 // PhysReg identifies a physical warp-register group holding one loaded
@@ -90,8 +92,12 @@ type lhbEntry struct {
 	// intrusive singly-linked chain (head in LHB.userHead). Chains replace
 	// the per-sequence []int slices the release index used to allocate on
 	// every tracked access — the release relation is exactly the inverse of
-	// lastUser, so it lives inside the slab for free. Chains are short (at
-	// most the rows of one macro-op), so unlink's linear walk is cheap.
+	// lastUser, so it lives inside the slab for free. DetectionUnit.Access
+	// gives every row load its own sequence number, and a row load inserts
+	// or relays exactly one entry, so under the detection unit a chain
+	// holds at most one entry. Longer chains arise only when a caller of
+	// the LHB API reuses one sequence number across several entries; the
+	// unlink walk is linear in their length.
 	nextUser int32
 }
 
@@ -102,18 +108,20 @@ type lhbEntry struct {
 // Storage is a single entry slab in both modes. The set-associative mode
 // (hardware design point) uses a fixed sets*ways slab; oracle mode grows the
 // slab on demand and recycles slots through a free list, with a key->slot
-// map standing in for the tag match. Retire-based release walks the
-// intrusive lastUser chain — no per-access heap allocation on any path.
+// table standing in for the tag match. Retire-based release walks the
+// intrusive lastUser chain. Both indexes (key -> slot and instrSeq -> chain
+// head) are flat open-addressed tables whose storage Reset keeps, so no
+// path allocates per access once the tables have grown to their peak.
 type LHB struct {
 	cfg      LHBConfig
 	sets     int
 	idxMask  uint32
 	idxBits  uint
 	pid      uint32
-	entries  []lhbEntry       // set-assoc: sets*ways fixed; oracle: grown slab
-	oracle   map[uint64]int32 // oracle mode: key -> slab slot
-	oFree    []int32          // oracle mode: recycled slab slots
-	userHead map[uint64]int32 // instrSeq -> head of its user chain
+	entries  []lhbEntry         // set-assoc: sets*ways fixed; oracle: grown slab
+	oracle   flatmap.Map[int32] // oracle mode: key -> slab slot
+	oFree    []int32            // oracle mode: recycled slab slots
+	userHead flatmap.Map[int32] // instrSeq -> head of its user chain
 	clock    uint64
 	Stats    LHBStats
 }
@@ -124,9 +132,8 @@ func NewLHB(cfg LHBConfig, pid uint32) (*LHB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l := &LHB{cfg: cfg, pid: pid, userHead: make(map[uint64]int32)}
+	l := &LHB{cfg: cfg, pid: pid}
 	if cfg.Oracle {
-		l.oracle = make(map[uint64]int32)
 		return l, nil
 	}
 	l.sets = cfg.Entries / cfg.Ways
@@ -143,11 +150,11 @@ func NewLHB(cfg LHBConfig, pid uint32) (*LHB, error) {
 func (l *LHB) Reset() {
 	l.Stats = LHBStats{}
 	l.clock = 0
-	clear(l.userHead)
+	l.userHead.Reset()
 	if l.cfg.Oracle {
 		l.entries = l.entries[:0]
 		l.oFree = l.oFree[:0]
-		clear(l.oracle)
+		l.oracle.Reset()
 		return
 	}
 	for i := range l.entries {
@@ -186,24 +193,25 @@ func (l *LHB) tag(id ID) uint64 {
 
 // pushUser prepends slab slot i to instrSeq's user chain.
 func (l *LHB) pushUser(instrSeq uint64, i int32) {
-	if head, ok := l.userHead[instrSeq]; ok {
+	if head, ok := l.userHead.Put(instrSeq, i); ok {
 		l.entries[i].nextUser = head
 	} else {
 		l.entries[i].nextUser = noEntry
 	}
-	l.userHead[instrSeq] = i
 }
 
-// unlinkUser removes slab slot i from its lastUser chain. Chains hold the
-// few rows of one instruction, so the predecessor walk is short.
+// unlinkUser removes slab slot i from its lastUser chain. Under the
+// detection unit every chain has one entry (see lhbEntry.nextUser), so the
+// predecessor walk below runs only for direct LHB callers that share a
+// sequence number across entries.
 func (l *LHB) unlinkUser(i int32) {
 	e := &l.entries[i]
-	head := l.userHead[e.lastUser]
+	head, _ := l.userHead.Get(e.lastUser)
 	if head == i {
 		if e.nextUser == noEntry {
-			delete(l.userHead, e.lastUser)
+			l.userHead.Delete(e.lastUser)
 		} else {
-			l.userHead[e.lastUser] = e.nextUser
+			l.userHead.Put(e.lastUser, e.nextUser)
 		}
 		return
 	}
@@ -234,7 +242,7 @@ func (l *LHB) Lookup(id ID, instrSeq uint64) (PhysReg, int64, bool) {
 	l.Stats.Lookups++
 	l.clock++
 	if l.cfg.Oracle {
-		i, ok := l.oracle[l.key(id)]
+		i, ok := l.oracle.Get(l.key(id))
 		if !ok {
 			l.Stats.Misses++
 			return InvalidReg, 0, false
@@ -272,7 +280,7 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 	if l.cfg.Oracle {
 		k := l.key(id)
 		var i int32
-		if old, ok := l.oracle[k]; ok {
+		if old, ok := l.oracle.Get(k); ok {
 			l.unlinkUser(old)
 			i = old
 		} else if n := len(l.oFree); n > 0 {
@@ -283,7 +291,7 @@ func (l *LHB) Insert(id ID, reg PhysReg, instrSeq uint64, meta int64) {
 			i = int32(len(l.entries) - 1)
 		}
 		l.entries[i] = lhbEntry{valid: true, tag: k, reg: reg, meta: meta, lastUser: instrSeq}
-		l.oracle[k] = i
+		l.oracle.Put(k, i)
 		l.pushUser(instrSeq, i)
 		return
 	}
@@ -320,7 +328,7 @@ func (l *LHB) Retire(instrSeq uint64) {
 	if l.cfg.NeverEvict {
 		return
 	}
-	head, ok := l.userHead[instrSeq]
+	head, ok := l.userHead.Delete(instrSeq)
 	if !ok {
 		return
 	}
@@ -331,13 +339,12 @@ func (l *LHB) Retire(instrSeq uint64) {
 		next := e.nextUser
 		e.valid = false
 		if l.cfg.Oracle {
-			delete(l.oracle, e.tag)
+			l.oracle.Delete(e.tag)
 			l.oFree = append(l.oFree, i)
 		}
 		l.Stats.Releases++
 		i = next
 	}
-	delete(l.userHead, instrSeq)
 }
 
 // StoreInvalidate releases the entry matching id, if any — the consistency
@@ -346,9 +353,9 @@ func (l *LHB) Retire(instrSeq uint64) {
 func (l *LHB) StoreInvalidate(id ID) {
 	if l.cfg.Oracle {
 		k := l.key(id)
-		if i, ok := l.oracle[k]; ok {
+		if i, ok := l.oracle.Get(k); ok {
 			l.unlinkUser(i)
-			delete(l.oracle, k)
+			l.oracle.Delete(k)
 			l.entries[i].valid = false
 			l.oFree = append(l.oFree, i)
 			l.Stats.StoreEvicts++
@@ -368,10 +375,10 @@ func (l *LHB) StoreInvalidate(id ID) {
 	}
 }
 
-// Live returns the number of valid entries (oracle: map size).
+// Live returns the number of valid entries (oracle: index size).
 func (l *LHB) Live() int {
 	if l.cfg.Oracle {
-		return len(l.oracle)
+		return l.oracle.Len()
 	}
 	n := 0
 	for i := range l.entries {
@@ -388,7 +395,7 @@ func (l *LHB) Config() LHBConfig { return l.cfg }
 // SetMeta updates the metadata of the live entry mapping id, if present.
 func (l *LHB) SetMeta(id ID, meta int64) {
 	if l.cfg.Oracle {
-		if i, ok := l.oracle[l.key(id)]; ok {
+		if i, ok := l.oracle.Get(l.key(id)); ok {
 			l.entries[i].meta = meta
 		}
 		return

@@ -1,6 +1,9 @@
 package duplo
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RenameTable implements warp-granular register renaming, adopted from the
 // WIR scheme of Kim et al. [15] (§IV-B, Fig. 7). Each (warp, architectural
@@ -11,14 +14,16 @@ import "fmt"
 //
 // The simulator tracks tile-granular groups ("one wmma.load destination" =
 // eight 32-bit registers per thread, §IV-C) as single PhysReg handles.
+//
+// The table keeps no per-register reference counts: the count of a group
+// is exactly the number of slots holding it, so the sharing queries
+// (SharedWith, LivePhysRegs) scan the table on demand and the per-load
+// Alloc and RenameTo paths stay a store and a counter increment.
 type RenameTable struct {
 	warps    int
 	archRegs int
 	table    []PhysReg // warps x archRegs
 	next     PhysReg
-	// refs counts how many (warp, arch) slots point at each physical
-	// register group, to measure sharing (register-file savings).
-	refs map[PhysReg]int
 
 	Renames uint64 // duplicate-induced renames (LHB hits)
 	Allocs  uint64 // fresh allocations (LHB misses / non-workspace loads)
@@ -34,7 +39,6 @@ func NewRenameTable(warps, archRegs int) *RenameTable {
 		warps:    warps,
 		archRegs: archRegs,
 		table:    make([]PhysReg, warps*archRegs),
-		refs:     make(map[PhysReg]int),
 	}
 	for i := range t.table {
 		t.table[i] = InvalidReg
@@ -52,12 +56,9 @@ func (t *RenameTable) slot(warp, arch int) int {
 // Alloc assigns a fresh physical register group to (warp, arch) — the miss
 // path, where the load actually fetches data.
 func (t *RenameTable) Alloc(warp, arch int) PhysReg {
-	s := t.slot(warp, arch)
-	t.release(t.table[s])
 	r := t.next
 	t.next++
-	t.table[s] = r
-	t.refs[r] = 1
+	t.table[t.slot(warp, arch)] = r
 	t.Allocs++
 	return r
 }
@@ -69,10 +70,7 @@ func (t *RenameTable) RenameTo(warp, arch int, r PhysReg) {
 	if r == InvalidReg {
 		panic("duplo: rename to invalid register")
 	}
-	s := t.slot(warp, arch)
-	t.release(t.table[s])
-	t.table[s] = r
-	t.refs[r]++
+	t.table[t.slot(warp, arch)] = r
 	t.Renames++
 }
 
@@ -81,31 +79,40 @@ func (t *RenameTable) RenameTo(warp, arch int, r PhysReg) {
 func (t *RenameTable) Lookup(warp, arch int) PhysReg { return t.table[t.slot(warp, arch)] }
 
 // SharedWith returns how many rename slots currently reference r.
-func (t *RenameTable) SharedWith(r PhysReg) int { return t.refs[r] }
+func (t *RenameTable) SharedWith(r PhysReg) int {
+	if r == InvalidReg {
+		return 0
+	}
+	n := 0
+	for _, p := range t.table {
+		if p == r {
+			n++
+		}
+	}
+	return n
+}
 
 // LivePhysRegs returns the number of distinct physical register groups
 // currently referenced — the register-file occupancy a duplicate-sharing
 // scheme saves compared to Allocs.
-func (t *RenameTable) LivePhysRegs() int { return len(t.refs) }
+func (t *RenameTable) LivePhysRegs() int {
+	live := make([]PhysReg, 0, len(t.table))
+	for _, p := range t.table {
+		if p != InvalidReg {
+			live = append(live, p)
+		}
+	}
+	slices.Sort(live)
+	return len(slices.Compact(live))
+}
 
 // Reset returns the table to its just-built state, reusing the backing
-// array and the refs map (sim.Arena reuse protocol).
+// array (sim.Arena reuse protocol).
 func (t *RenameTable) Reset() {
 	for i := range t.table {
 		t.table[i] = InvalidReg
 	}
-	clear(t.refs)
 	t.next = 0
 	t.Renames = 0
 	t.Allocs = 0
-}
-
-func (t *RenameTable) release(r PhysReg) {
-	if r == InvalidReg {
-		return
-	}
-	t.refs[r]--
-	if t.refs[r] <= 0 {
-		delete(t.refs, r)
-	}
 }

@@ -109,46 +109,45 @@ type job struct {
 	started chan struct{}
 	done    chan struct{}
 
-	mu         sync.Mutex
-	res        sim.Result
-	err        error
-	finishedAt time.Time
+	mu  sync.Mutex
+	res sim.Result
+	err error
 }
 
-// finished reports whether the job reached a terminal state, and when
-// (for TTL eviction).
-func (j *job) finished() (time.Time, bool) {
-	select {
-	case <-j.done:
-	default:
-		return time.Time{}, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finishedAt, true
-}
-
-// snapshot renders the job's externally visible state.
-func (j *job) snapshot() JobStatus {
-	js := JobStatus{ID: j.id, Status: jobRunning, Request: j.req}
+// status returns the job's lifecycle state. res and err are written
+// before done closes and never change after, so a terminal status stays
+// consistent with them.
+func (j *job) status() string {
 	select {
 	case <-j.done:
 	default:
 		select {
 		case <-j.started:
+			return jobRunning
 		default:
-			js.Status = jobQueued
+			return jobQueued
 		}
-		return js
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		js.Status = jobFailed
+		return jobFailed
+	}
+	return jobDone
+}
+
+// snapshot renders the job's externally visible state.
+func (j *job) snapshot() JobStatus {
+	js := JobStatus{ID: j.id, Status: j.status(), Request: j.req}
+	switch js.Status {
+	case jobQueued, jobRunning:
+		return js
+	case jobFailed:
 		js.Error = simProblem(j.err)
 		return js
 	}
-	js.Status = jobDone
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	js.Result = &RunResult{
 		Stats:         j.res.Stats,
 		SimulatedCTAs: j.res.SimulatedCTAs,
@@ -274,11 +273,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// finishJob records a job's terminal state and journals it.
+// finishJob records a job's terminal state, queues it for TTL eviction,
+// and journals it. The finish time is read under s.mu in the same critical
+// section that appends to the eviction FIFO, so the FIFO stays ordered by
+// finish time even when jobs finish concurrently.
 func (s *Server) finishJob(j *job, res sim.Result, err error) {
+	if s.jobTTL > 0 {
+		s.mu.Lock()
+		s.finished = append(s.finished, finishedJob{id: j.id, at: s.now()})
+		s.mu.Unlock()
+	}
 	j.mu.Lock()
 	j.res, j.err = res, err
-	j.finishedAt = s.now()
 	j.mu.Unlock()
 	close(j.done)
 	if s.journal != nil {

@@ -80,8 +80,12 @@ type Server struct {
 	runner *experiments.Runner // shared by all /v1/runs jobs
 	ctx    context.Context     // daemon lifetime
 
-	mu          sync.Mutex
-	jobs        map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job
+	// finished lists terminal jobs in finish order, oldest first (only
+	// when JobTTL is set). The TTL is the same for every job, so the
+	// jobs due for eviction are always a prefix of it.
+	finished    []finishedJob
 	seq         int64
 	interrupted map[string]RunRequest // journal-recovered ids from before a crash
 	// healthz degraded-delta watermarks: last-reported store failure
@@ -150,10 +154,20 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// finishedJob is one entry of the eviction FIFO: a terminal job's id and
+// finish time.
+type finishedJob struct {
+	id string
+	at time.Time
+}
+
 // evictExpired drops completed/failed jobs whose TTL has lapsed. Called
 // lazily from the handlers that touch the job map — no background
 // goroutine to manage, and with the Now seam eviction is deterministic
-// under test. Running jobs are never evicted regardless of age.
+// under test. It pops expired jobs off the head of the finish-ordered
+// FIFO, so its cost is the number of jobs evicted, not the number
+// retained. Running jobs are never in the FIFO, so they are never evicted
+// regardless of age.
 func (s *Server) evictExpired() {
 	if s.jobTTL <= 0 {
 		return
@@ -161,11 +175,15 @@ func (s *Server) evictExpired() {
 	cutoff := s.now().Add(-s.jobTTL)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, j := range s.jobs {
-		if t, terminal := j.finished(); terminal && t.Before(cutoff) {
-			delete(s.jobs, id)
-			s.evicted.Add(1)
-		}
+	n := 0
+	for n < len(s.finished) && s.finished[n].at.Before(cutoff) {
+		delete(s.jobs, s.finished[n].id)
+		n++
+	}
+	if n > 0 {
+		clear(s.finished[:n]) // drop the id strings for the collector
+		s.finished = s.finished[n:]
+		s.evicted.Add(int64(n))
 	}
 }
 
@@ -294,7 +312,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	st.JobsTotal = len(s.jobs)
 	st.JobsInterrupted = len(s.interrupted)
 	for _, j := range s.jobs {
-		switch j.snapshot().Status {
+		switch j.status() {
 		case jobQueued:
 			st.JobsQueued++
 		case jobRunning:

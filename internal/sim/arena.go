@@ -56,15 +56,10 @@ func (c *cacheArray) fits(capacityBytes, lineBytes, ways int) bool {
 	return c.sets == n.sets && c.ways == n.ways && c.lineShift == n.lineShift
 }
 
-// reset restores the array to its freshly-built state. Clearing the valid
-// bits alone makes every stale entry unreachable — Lookup requires valid,
-// and Insert picks invalid ways first and compares lru only among valid
-// ones — so tags and lru keep their stale values without any behavioral
-// trace. clock restarts so LRU generations match a fresh run exactly.
+// reset restores the array to its freshly-built state: every way invalid
+// and the clock restarted, so LRU generations match a fresh run exactly.
 func (c *cacheArray) reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.lines)
 	c.clock = 0
 }
 
@@ -106,7 +101,8 @@ func (sm *smState) reset(cfg Config, mem *memSystem, gpu *gpuState) {
 	sm.du = nil
 	sm.tr = cfg.Tracer
 	sm.l1.reset()
-	clear(sm.mshr)
+	sm.mshr.Reset()
+	sm.mshrSweepAt = mshrSweepLen
 	sm.l1Port = 0
 	for i := range sm.pbFree {
 		sm.pbFree[i] = 0

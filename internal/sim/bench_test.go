@@ -177,9 +177,7 @@ func BenchmarkPlaceCTA(b *testing.B) {
 			sm.deactivateSlot(s)
 		}
 		sm.resident = 0
-		for cta := range sm.ctaWarpsLeft {
-			delete(sm.ctaWarpsLeft, cta)
-		}
+		clear(sm.ctaWarpsLeft)
 	}
 }
 

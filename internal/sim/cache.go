@@ -9,10 +9,16 @@ type cacheArray struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      []uint64 // sets*ways, set-major; tag = line address
-	valid     []bool
-	lru       []int64
+	lines     []cacheWay // sets*ways, set-major
 	clock     int64
+}
+
+// cacheWay is one way of a set: the resident line address and the clock
+// value of its last use. The clock starts at 1 for the first access, so
+// lru == 0 marks an invalid way.
+type cacheWay struct {
+	tag uint64
+	lru int64
 }
 
 // cacheGeometry is the derived shape of a cacheArray — split out so the
@@ -53,9 +59,7 @@ func newCacheArray(capacityBytes, lineBytes, ways int) *cacheArray {
 		sets:      g.sets,
 		ways:      g.ways,
 		lineShift: g.lineShift,
-		tags:      make([]uint64, g.sets*g.ways),
-		valid:     make([]bool, g.sets*g.ways),
-		lru:       make([]int64, g.sets*g.ways),
+		lines:     make([]cacheWay, g.sets*g.ways),
 	}
 }
 
@@ -66,10 +70,10 @@ func (c *cacheArray) set(lineAddr uint64) int {
 // Lookup probes for lineAddr, updating LRU on hit.
 func (c *cacheArray) Lookup(lineAddr uint64) bool {
 	c.clock++
-	s := c.set(lineAddr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s+w] && c.tags[s+w] == lineAddr {
-			c.lru[s+w] = c.clock
+	set := c.lines[c.set(lineAddr)*c.ways:][:c.ways]
+	for w := range set {
+		if set[w].tag == lineAddr && set[w].lru != 0 {
+			set[w].lru = c.clock
 			return true
 		}
 	}
@@ -79,23 +83,16 @@ func (c *cacheArray) Lookup(lineAddr uint64) bool {
 // Insert fills lineAddr, evicting the LRU way if needed.
 func (c *cacheArray) Insert(lineAddr uint64) {
 	c.clock++
-	s := c.set(lineAddr) * c.ways
-	victim := s
-	oldest := int64(1) << 62
-	for w := 0; w < c.ways; w++ {
-		i := s + w
-		if !c.valid[i] {
-			victim = i
-			break
-		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
+	set := c.lines[c.set(lineAddr)*c.ways:][:c.ways]
+	// An invalid way (lru 0) is older than every valid one, so the plain
+	// LRU minimum picks the first invalid way when there is one.
+	victim := 0
+	for w := 1; w < len(set); w++ {
+		if set[w].lru < set[victim].lru {
+			victim = w
 		}
 	}
-	c.tags[victim] = lineAddr
-	c.valid[victim] = true
-	c.lru[victim] = c.clock
+	set[victim] = cacheWay{tag: lineAddr, lru: c.clock}
 }
 
 // Capacity returns sets*ways lines.

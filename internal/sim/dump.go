@@ -90,7 +90,7 @@ func formatCrashDump(b *strings.Builder, g *gpuState, se *SimError) {
 	for _, sm := range g.sms {
 		fmt.Fprintf(b, "\nSM %d: resident=%d l1Port=%d ldst=%s mshr=%d lhbRelease=%s\n",
 			sm.id, sm.resident, sm.l1Port, dumpQueue(sm.ldstBusy, sm.cfg.LDSTQueueDepth),
-			len(sm.mshr), dumpReleases(sm.lhbRelease))
+			sm.mshr.Len(), dumpReleases(sm.lhbRelease))
 		fmt.Fprintf(b, "  stats: %s\n", sm.stats.DumpSummary())
 		shown, active := 0, 0
 		for s := range sm.warps {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	duplo "duplo/internal/core"
+	"duplo/internal/flatmap"
 	"duplo/internal/trace"
 )
 
@@ -39,7 +40,8 @@ type warpCtx struct {
 	cur              Instr // decoded prog.At(pc), relocated
 	curOK            bool
 	slot             int // SM warp slot (detection-unit warp id)
-	cta              int // resident-CTA index on this SM
+	cta              int // kernel CTA index
+	res              int // resident-CTA record on this SM (smState.ctaWarpsLeft)
 	age              int64
 	regReady         []int64
 	rob              []robEntry
@@ -78,7 +80,9 @@ type smState struct {
 	du   *duplo.DetectionUnit
 	tr   trace.Tracer // nil unless Config.Tracer is set
 	l1   *cacheArray
-	mshr map[uint64]int64 // lineAddr -> fill cycle
+	mshr flatmap.Map[int64] // lineAddr -> fill cycle
+	// mshrSweepAt is the MSHR size that triggers drainLDST's next sweep.
+	mshrSweepAt int
 
 	l1Port int64   // next free L1 tag-port cycle (1 line/cycle)
 	pbFree []int64 // per-scheduler processing-block (tensor core) free cycle
@@ -102,7 +106,10 @@ type smState struct {
 	// monotone because pops are).
 	lhbRelease []lhbReleaseEvt
 
-	ctaWarpsLeft map[int]int // resident CTA -> unfinished warps
+	// ctaWarpsLeft counts the unfinished warps of each resident CTA,
+	// indexed by warpCtx.res; a zero record is free. Every resident CTA
+	// has a live warp, so MaxWarpsPerSM records always suffice.
+	ctaWarpsLeft []int
 	resident     int
 
 	// stage is non-nil only in sharded mode (Config.SMWorkers > 1): memory
@@ -131,11 +138,11 @@ func newSM(cfg Config, id int, mem *memSystem, gpu *gpuState) *smState {
 		gpu:          gpu,
 		tr:           cfg.Tracer,
 		l1:           newCacheArray(cfg.L1KB<<10, cfg.LineBytes, 8),
-		mshr:         make(map[uint64]int64),
+		mshrSweepAt:  mshrSweepLen,
 		pbFree:       make([]int64, cfg.Schedulers),
 		warps:        make([]warpCtx, cfg.MaxWarpsPerSM),
 		greedy:       make([]int, cfg.Schedulers),
-		ctaWarpsLeft: make(map[int]int),
+		ctaWarpsLeft: make([]int, cfg.MaxWarpsPerSM),
 		lineBuf:      make([]uint64, 0, 64),
 	}
 	sm.liveMask = make([]uint64, (len(sm.warps)+63)/64)
@@ -171,6 +178,10 @@ func (sm *smState) deactivateSlot(s int) {
 // canonical program for their tile shape; only the per-warp address
 // offsets and the recycled regReady/rob backing arrays are written.
 func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
+	res := 0
+	for sm.ctaWarpsLeft[res] != 0 {
+		res++
+	}
 	live := 0
 	for w := 0; w < warpsPerCTA; w++ {
 		rt, ct, firstRow, firstCol := k.warpShape(cta, w)
@@ -204,6 +215,7 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 				dOff:     dOff,
 				slot:     s,
 				cta:      cta,
+				res:      res,
 				age:      launchSeq*int64(warpsPerCTA) + int64(w),
 				regReady: rr,
 				rob:      wc.rob[:0],
@@ -217,7 +229,7 @@ func (sm *smState) placeCTA(k *Kernel, cta int, launchSeq int64) {
 		// Degenerate CTA (fully out of range): nothing resident.
 		return
 	}
-	sm.ctaWarpsLeft[cta] = live
+	sm.ctaWarpsLeft[res] = live
 	sm.resident++
 }
 
@@ -324,13 +336,10 @@ func (sm *smState) retireWarp(w *warpCtx, s int, now, delay int64) {
 	}
 	if w.finished() {
 		sm.deactivateSlot(s)
-		left := sm.ctaWarpsLeft[w.cta] - 1
-		if left == 0 {
-			delete(sm.ctaWarpsLeft, w.cta)
+		sm.ctaWarpsLeft[w.res]--
+		if sm.ctaWarpsLeft[w.res] == 0 {
 			sm.resident--
 			sm.gpu.ctaDone(sm, now)
-		} else {
-			sm.ctaWarpsLeft[w.cta] = left
 		}
 	}
 }
@@ -359,17 +368,21 @@ func (sm *smState) releaseLHB(now int64) {
 	}
 }
 
-// mshrSweepLen is the MSHR map size beyond which drainLDST sweeps dead
-// entries. Real MSHRs hold tens of entries; the map is allowed to grow well
-// past that as a fill-time memo, but without a sweep it would accrete one
-// entry per distinct line ever missed over a multi-million-cycle run.
-const mshrSweepLen = 1 << 12
+// mshrSweepLen is the smallest MSHR table size at which drainLDST sweeps
+// dead entries. Real MSHRs hold tens of entries; the table is allowed to
+// grow past that as a fill-time memo, but without a sweep it would accrete
+// one entry per distinct line ever missed over a multi-million-cycle run.
+// After each sweep the next one waits until the table has doubled (see
+// smState.mshrSweepAt), so a burst of live misses larger than mshrSweepLen
+// cannot make every cycle sweep. Keeping the table small keeps its probes
+// in cache; the sweep itself is invisible to results.
+const mshrSweepLen = 1 << 8
 
 // drainLDST frees queue slots whose memory operations completed, and keeps
-// the MSHR map bounded by sweeping entries whose fills are in the past.
+// the MSHR table bounded by sweeping entries whose fills are in the past.
 // The sweep is behavior-invisible: accessLine deletes a passed entry on
-// first touch anyway, and the fill <= now condition is per-entry, so map
-// iteration order cannot leak into results.
+// first touch anyway, and the fill <= now condition is per-entry, so the
+// table's slot order cannot leak into results.
 func (sm *smState) drainLDST(now int64) {
 	q := sm.ldstBusy[:0]
 	for _, t := range sm.ldstBusy {
@@ -378,12 +391,9 @@ func (sm *smState) drainLDST(now int64) {
 		}
 	}
 	sm.ldstBusy = q
-	if len(sm.mshr) > mshrSweepLen {
-		for line, fill := range sm.mshr {
-			if fill <= now {
-				delete(sm.mshr, line)
-			}
-		}
+	if sm.mshr.Len() > sm.mshrSweepAt {
+		sm.mshr.DeleteIf(func(_ uint64, fill int64) bool { return fill <= now })
+		sm.mshrSweepAt = max(mshrSweepLen, 2*sm.mshr.Len())
 	}
 }
 
@@ -655,7 +665,7 @@ func (sm *smState) issueLoad(w *warpCtx, in Instr, now int64) {
 func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 	sm.stats.L1Accesses++
 	l1Lat := int64(sm.cfg.L1LatencyCycles)
-	if fill, pending := sm.mshr[line]; pending {
+	if fill, pending := sm.mshr.Get(line); pending {
 		if fill > t {
 			// Merge into the outstanding miss.
 			sm.stats.MSHRMerges++
@@ -668,7 +678,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 			}
 			return fill, ServiceL1
 		}
-		delete(sm.mshr, line)
+		sm.mshr.Delete(line)
 	}
 	if sm.l1.Lookup(line) {
 		sm.stats.L1Hits++
@@ -676,7 +686,7 @@ func (sm *smState) accessLine(line uint64, t int64) (int64, ServiceLevel) {
 	}
 	fill, src := sm.mem.readLine(line, t+l1Lat)
 	sm.l1.Insert(line)
-	sm.mshr[line] = fill
+	sm.mshr.Put(line, fill)
 	return fill, src
 }
 
