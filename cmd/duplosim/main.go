@@ -13,8 +13,7 @@
 //
 // With -workers > 1 (default GOMAXPROCS) the baseline and Duplo
 // simulations run concurrently; output order and values are unchanged.
-// -cpuprofile / -memprofile write pprof profiles of the simulator itself;
-// -dense forces the one-cycle-at-a-time reference clock.
+// -cpuprofile / -memprofile write pprof profiles of the simulator itself.
 //
 // -trace writes a Perfetto/Chrome trace-event JSON timeline of the traced
 // run (load it at https://ui.perfetto.dev) and -metrics-csv a per-interval
@@ -59,8 +58,6 @@ var (
 	simSMs     = flag.Int("sms", 4, "SMs simulated")
 	batch      = flag.Int("batch", 0, "override batch size (default Table I's 8)")
 	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	smWorkers  = flag.Int("sm-workers", 1, "goroutines sharding the SMs inside each simulation (1 = serial reference loop, 0 = GOMAXPROCS; results identical)")
-	dense      = flag.Bool("dense", false, "force the dense (non-cycle-skipping) clock")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOut   = flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline to this file")
@@ -71,7 +68,6 @@ var (
 	maxCycles  = flag.Int64("max-cycles", 0, "abort either simulation past this many cycles (0 = simulator default)")
 	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
 	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	noPool     = flag.Bool("no-pool", false, "disable simulator-state reuse between the baseline and Duplo runs (results identical either way)")
 	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted stats are labeled; see DESIGN.md §9)")
 	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound (0 = never predict)")
 	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
@@ -108,14 +104,17 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.TitanVConfig()
-	cfg.MaxCTAs = *ctas
-	cfg.SimSMs = *simSMs
-	cfg.DenseClock = *dense
-	cfg.SMWorkers = *smWorkers
-	cfg.MaxCycles = *maxCycles
-	cfg.WallTimeout = *timeout
-	cfg.CrashDumpDir = *crashDir
+	mode, err := experiments.ParsePredictorMode(*predict)
+	if err != nil {
+		return err
+	}
+	ropts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Context: ctx,
+		MaxCycles: *maxCycles, WallTimeout: *timeout, CrashDumpDir: *crashDir,
+		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath}
+	cfg := ropts.Config()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
 	fmt.Printf("%s: %v\n", l.FullName(), l.GemmParams())
 	fmt.Printf("GEMM %dx%dx%d (padded %dx%dx%d), %d CTAs total, simulating %d on %d SMs\n\n",
@@ -143,30 +142,6 @@ func run(ctx context.Context) error {
 	// baseline and Duplo simulations execute concurrently, and -store
 	// warm-starts them from the on-disk result store (a traced run always
 	// executes — the collector must observe a real execution).
-	mode, err := experiments.ParsePredictorMode(*predict)
-	if err != nil {
-		return err
-	}
-	ropts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, SMWorkers: *smWorkers, Context: ctx,
-		MaxCycles: *maxCycles, WallTimeout: *timeout, CrashDumpDir: *crashDir, DisableStatePool: *noPool,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath}
-	if mode != experiments.PredictorOff {
-		// Prediction engages only inside the runner's calibrated envelope, so
-		// the run config must be the resolved options config (notably
-		// SMWorkers 0 resolves to the serial per-run loop — results are
-		// byte-identical either way). Dense-clock or traced runs fall
-		// outside the envelope and simulate as usual.
-		cfg = ropts.Config()
-		cfg.DenseClock = *dense
-		dcfg = cfg
-		dcfg.Duplo = true
-		dcfg.DetectCfg.LHB = duplo.LHBConfig{Entries: *lhb, Ways: *ways, Oracle: *oracle}
-		if *traceRun == "base" && col != nil {
-			cfg.Tracer = col
-		} else if col != nil {
-			dcfg.Tracer = col
-		}
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {

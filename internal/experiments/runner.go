@@ -35,16 +35,16 @@ type Runner struct {
 	sink    *report.Sink    // nil unless Verbose
 	ctx     context.Context // cancels in-flight and future simulations
 
-	// simFn executes one simulation (sim.RunPooledContext; the arena is nil
-	// when state pooling is disabled). It is a seam the robustness tests
-	// override to inject deterministic per-cell failures.
+	// simFn executes one simulation (sim.RunPooledContext). It is a seam
+	// the robustness tests override to inject deterministic per-cell
+	// failures, and the pool tests to build fresh state for every run.
 	simFn func(context.Context, sim.Config, *sim.Kernel, *sim.Arena) (sim.Result, error)
 
 	// arenas pools per-run simulator state across the sweep's cells
 	// (sim.Arena): an executing simulation takes one arena, runs with it,
 	// and returns it, so at most Workers arenas exist and each is reused by
 	// whichever cell executes next. Arenas self-invalidate on failed runs,
-	// making the recycle unconditional. nil when Options.DisableStatePool.
+	// making the recycle unconditional.
 	arenas *sync.Pool
 
 	// store is the optional on-disk second cache tier (Options.Store): a
@@ -102,11 +102,9 @@ func NewRunner(opts Options) *Runner {
 		sink:    sink,
 		ctx:     ctx,
 		simFn:   sim.RunPooledContext,
+		arenas:  &sync.Pool{New: func() interface{} { return sim.NewArena() }},
 		store:   opts.Store,
 		cache:   make(map[string]*cacheEntry),
-	}
-	if !opts.DisableStatePool {
-		r.arenas = &sync.Pool{New: func() interface{} { return sim.NewArena() }}
 	}
 	if opts.Faults != nil {
 		r.simFn = faultWrap(opts.Faults, r.simFn)
@@ -197,16 +195,13 @@ func (r *Runner) progress(format string, args ...interface{}) {
 	}
 }
 
-// key builds a cache key for a kernel/config combination. DenseClock and
-// SMWorkers are included for hygiene even though the clocks and the SM-worker
-// counts are byte-identical by contract (clock_test.go, parallel_sm_test.go),
-// so a deliberate cross-mode comparison is never served from the cache.
+// key builds a cache key for a kernel/config combination.
 func (r *Runner) key(kernelName string, cfg sim.Config) string {
 	d := cfg.DetectCfg
-	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|b=%d|rl=%d|l1=%d|l2=%d|dc=%v|smw=%d|mc=%d|wt=%v",
+	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|b=%d|rl=%d|l1=%d|l2=%d|mc=%d|wt=%v",
 		kernelName, cfg.Duplo, d.LHB.Entries, d.LHB.Ways, d.LHB.Oracle, d.LHB.NeverEvict, d.LHB.ModuloIndex,
-		d.LatencyCycles, cfg.MaxCTAs, cfg.SimSMs, 0, cfg.RetireDelay, cfg.L1KB, cfg.L2KB, cfg.DenseClock,
-		cfg.SMWorkers, cfg.MaxCycles, cfg.WallTimeout)
+		d.LatencyCycles, cfg.MaxCTAs, cfg.SimSMs, 0, cfg.RetireDelay, cfg.L1KB, cfg.L2KB,
+		cfg.MaxCycles, cfg.WallTimeout)
 }
 
 // Run obtains kernel k's result under cfg, memoized and singleflighted:
@@ -274,16 +269,11 @@ func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim
 
 	r.sem <- struct{}{}
 	r.execs.Add(1)
-	var ar *sim.Arena
-	if r.arenas != nil {
-		ar = r.arenas.Get().(*sim.Arena)
-	}
+	ar := r.arenas.Get().(*sim.Arena)
 	e.res, e.err = r.simFn(ctx, cfg, k, ar)
-	if ar != nil {
-		// Unconditional recycle: a failed run leaves the arena marked
-		// dirty, and the next run through it rebuilds instead of reusing.
-		r.arenas.Put(ar)
-	}
+	// Unconditional recycle: a failed run leaves the arena marked dirty,
+	// and the next run through it rebuilds instead of reusing.
+	r.arenas.Put(ar)
 	<-r.sem
 	if e.err != nil {
 		// Evict before closing done: once waiters wake, the failed key

@@ -106,9 +106,7 @@ func (c *cacheArray) Capacity() int { return c.sets * c.ways }
 // even reorderable), which makes results depend on the exact arrival order
 // of requests. All callers must therefore touch the memSystem from one
 // goroutine in the canonical serial order — ascending (cycle, smID, issue
-// index). The sharded loop honors this by staging phase-A requests per SM
-// and replaying them here during serial phase B (shard.go); never call into
-// the memSystem from phase A.
+// index) — which the cycle loop's in-order SM ticks provide.
 type memSystem struct {
 	cfg Config
 	l2  *cacheArray

@@ -11,16 +11,16 @@ import (
 // and dense clocks.
 func clockModes(cfg Config) (event, dense Config) {
 	event = cfg
-	event.DenseClock = false
+	event.denseClock = false
 	dense = cfg
-	dense.DenseClock = true
+	dense.denseClock = true
 	return event, dense
 }
 
 // diffRun simulates k under both clock modes and requires byte-identical
 // results: every Stats field (including the arithmetically accounted stall
 // counters) and the CTA counts. Kernel and Config are inputs, not outputs,
-// so they are excluded (Config necessarily differs in DenseClock).
+// so they are excluded (Config necessarily differs in denseClock).
 func diffRun(t *testing.T, name string, cfg Config, k *Kernel) {
 	t.Helper()
 	eventCfg, denseCfg := clockModes(cfg)

@@ -53,10 +53,8 @@ type gpuState struct {
 	// guard is the hardening state of this run: cancellation, cycle/wall
 	// bounds, and the forward-progress watchdog.
 	guard runGuard
-	// progress counts ROB pops (retire.go bumps it once per retired
-	// instruction). Retirement runs serially in both loop modes — the
-	// serial tick and the sharded pre-phase both execute on the dispatcher
-	// goroutine — so the counter needs no synchronization.
+	// progress counts ROB pops (retireWarp bumps it once per retired
+	// instruction).
 	progress int64
 	// now mirrors the loop's current cycle so crash dumps written from a
 	// panic recovery know where the clock stood.
@@ -203,9 +201,9 @@ const maxSimCycles = int64(4) << 30
 // nextWake cycle over all SMs instead of re-ticking every dead cycle, and
 // accounts the skipped span's stall counters arithmetically. Every Stats
 // field (including IssueStallCycles / LDSTStallCycles) is byte-identical to
-// the dense one-cycle-at-a-time loop, which remains available behind
-// cfg.DenseClock (asserted by TestClockModesByteIdentical; see DESIGN.md
-// §3 "Clocking").
+// the dense one-cycle-at-a-time loop, which the tests keep as an oracle
+// behind the unexported Config.denseClock (asserted by
+// TestClockModesByteIdentical; see DESIGN.md §3 "Clocking").
 //
 // Observability: with cfg.Tracer set, every SM emits pipeline events
 // (issues, stalls, skipped spans, LHB hits/releases, memory-level
@@ -213,12 +211,6 @@ const maxSimCycles = int64(4) << 30
 // changes the Result (asserted by TestTracingDoesNotPerturb) and a nil
 // Tracer costs one pointer check per site; see internal/trace and
 // DESIGN.md §4.
-//
-// Parallelism: with cfg.SMWorkers resolved above 1, the cycle loop shards
-// the SMs across goroutines using the two-phase tick of shard.go; the
-// Result — and any attached trace, event for event — stays byte-identical
-// to the single-goroutine reference loop (asserted by the differential
-// matrix in parallel_sm_test.go; see DESIGN.md §3 "SM sharding").
 //
 // Hardening: Run is RunContext with a background context; both are
 // bounded (Config.MaxCycles, Config.WallTimeout), interruptible, watched
@@ -243,22 +235,19 @@ var testFaultInjection func(*gpuState)
 // or PhaseDeadline) when it fires. cfg.WallTimeout, when set, is applied
 // as a deadline on top of ctx.
 func RunContext(ctx context.Context, cfg Config, k *Kernel) (Result, error) {
-	return runWithArena(ctx, cfg, k, nil)
+	return RunPooledContext(ctx, cfg, k, NewArena())
 }
 
 // RunPooledContext is RunContext drawing per-run state from ar (see Arena):
 // the memory system, SM states and detection units of the previous run
 // through the same arena are reset and reused instead of rebuilt wherever
-// their geometry fits. The Result is byte-identical to RunContext — the
-// pool_test.go differential matrix asserts it across clock modes, SM
-// sharding and Duplo modes — and errors leave the arena dirty, so a failed
-// run's half-mutated state is never reused. The arena must not be shared
-// by concurrent runs.
+// their geometry fits. The first run through an arena builds fresh state,
+// so RunContext (a throwaway arena) is the fresh-state reference. The
+// Result is byte-identical to RunContext — the pool_test.go differential
+// matrix asserts it across clock modes and Duplo modes — and errors leave
+// the arena dirty, so a failed run's half-mutated state is never reused.
+// The arena must not be shared by concurrent runs.
 func RunPooledContext(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result, error) {
-	return runWithArena(ctx, cfg, k, ar)
-}
-
-func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -270,10 +259,7 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 		ctx, cancel = context.WithTimeout(ctx, cfg.WallTimeout)
 		defer cancel()
 	}
-	reuse := false
-	if ar != nil {
-		reuse = ar.acquire()
-	}
+	reuse := ar.acquire()
 	var merged Stats
 	var mem *memSystem
 	if reuse && ar.mem != nil && ar.mem.reset(cfg, &merged) {
@@ -312,12 +298,10 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 					return Result{}, err
 				}
 			}
-			if ar != nil {
-				for len(ar.dus) <= i {
-					ar.dus = append(ar.dus, nil)
-				}
-				ar.dus[i] = du
+			for len(ar.dus) <= i {
+				ar.dus = append(ar.dus, nil)
 			}
+			ar.dus[i] = du
 			if k.Conv != nil {
 				if err := du.Program(*k.Conv, k.Layout); err != nil {
 					return Result{}, err
@@ -327,18 +311,16 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 		}
 		g.sms[i] = sm
 	}
-	if ar != nil {
-		// Cache the built components regardless of how this run ends; the
-		// clean flag (set only on success) gates whether the next run may
-		// reset-and-reuse them. Slots beyond this run's SimSMs keep their
-		// cached state for a later, wider run.
-		ar.mem = mem
-		for i, sm := range g.sms {
-			if i < len(ar.sms) {
-				ar.sms[i] = sm
-			} else {
-				ar.sms = append(ar.sms, sm)
-			}
+	// Cache the built components regardless of how this run ends; the
+	// clean flag (set only on success) gates whether the next run may
+	// reset-and-reuse them. Slots beyond this run's SimSMs keep their
+	// cached state for a later, wider run.
+	ar.mem = mem
+	for i, sm := range g.sms {
+		if i < len(ar.sms) {
+			ar.sms[i] = sm
+		} else {
+			ar.sms = append(ar.sms, sm)
 		}
 	}
 	// Initial dispatch.
@@ -359,7 +341,7 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 		}
 	}
 
-	now, err := g.runLoops()
+	now, err := g.runLoop()
 	if err != nil {
 		return Result{}, err
 	}
@@ -373,9 +355,7 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 		merged.Add(sm.stats)
 	}
 	merged.Cycles = now
-	if ar != nil {
-		ar.clean = true
-	}
+	ar.clean = true
 	return Result{
 		Stats:         merged,
 		SimulatedCTAs: g.totalCTAs,
@@ -385,29 +365,14 @@ func runWithArena(ctx context.Context, cfg Config, k *Kernel, ar *Arena) (Result
 	}, nil
 }
 
-// runLoops dispatches to the configured cycle loop behind one panic
-// barrier: any panic on the dispatcher goroutine — the serial loop, the
-// sharded pre-phase/commit, or shard 0 running inline — is contained into
-// a *SimError with a crash dump. Spawned shard goroutines recover locally
-// into their shardState (shard.go) and the dispatcher converts those the
-// same way.
-func (g *gpuState) runLoops() (now int64, err error) {
+// runLoop is the cycle loop. It runs behind a panic barrier: any panic
+// inside it is contained into a *SimError with a crash dump.
+func (g *gpuState) runLoop() (now int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = g.containPanic(r, debug.Stack())
 		}
 	}()
-	if workers := g.cfg.smWorkers(); workers > 1 {
-		return g.runShardedLoop(workers)
-	}
-	return g.runSerialLoop()
-}
-
-// runSerialLoop is the single-goroutine reference cycle loop
-// (Config.SMWorkers <= 1 after resolution); runShardedLoop (shard.go) must
-// stay byte-identical to it.
-func (g *gpuState) runSerialLoop() (int64, error) {
-	var now int64
 	blocked := make([]int, len(g.sms)) // per-SM ldst-blocked schedulers this tick
 	for {
 		g.now = now
@@ -424,7 +389,7 @@ func (g *gpuState) runSerialLoop() (int64, error) {
 		if !busy && g.nextCTA >= g.totalCTAs {
 			break
 		}
-		if issued == 0 && !g.cfg.DenseClock {
+		if issued == 0 && !g.cfg.denseClock {
 			wake := farFuture
 			for _, sm := range g.sms {
 				if w := sm.nextWake(now); w < wake {

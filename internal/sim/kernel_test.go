@@ -170,3 +170,43 @@ func TestOpStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestWarpProgramMemoized pins the memoization contract: placeCTA-visible
+// instruction streams from the canonical shared programs (relocated by the
+// warp offsets) must match a freshly built absolute-address program for
+// every warp of interior and edge CTAs alike.
+func TestWarpProgramMemoized(t *testing.T) {
+	k, err := NewConvKernel("memo", testLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.progs == nil {
+		t.Fatal("constructor did not populate the program cache")
+	}
+	gm, gn := k.GridCTAs()
+	ctas := []int{0, gn - 1, (gm - 1) * gn, gm*gn - 1} // corners incl. edge tiles
+	for _, cta := range ctas {
+		for w := 0; w < warpsPerCTA; w++ {
+			ref := newWarpProgram(k, k.warpAssignments(cta)[w])
+			rt, ct, firstRow, firstCol := k.warpShape(cta, w)
+			got := k.program(rt, ct)
+			if got.Len() != ref.Len() {
+				t.Fatalf("CTA %d warp %d: length %d, want %d", cta, w, got.Len(), ref.Len())
+			}
+			if ref.Len() == 0 {
+				continue
+			}
+			if rt >= 1 && rt <= warpTileM && ct >= 1 && ct <= warpTileN && got != k.progs[rt][ct] {
+				t.Fatalf("CTA %d warp %d: program not served from the cache", cta, w)
+			}
+			aOff, bOff, dOff := k.warpOffsets(firstRow, firstCol)
+			for i := 0; i < ref.Len(); i++ {
+				in := got.At(i)
+				relocateInstr(&in, aOff, bOff, dOff)
+				if want := ref.At(i); in != want {
+					t.Fatalf("CTA %d warp %d instr %d: relocated %+v, want %+v", cta, w, i, in, want)
+				}
+			}
+		}
+	}
+}

@@ -333,6 +333,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad sector size should fail")
 	}
+	bad = good
+	bad.MaxCTAs = -1
+	if err := bad.Validate(); err == nil {
+		t.Error("negative MaxCTAs should fail")
+	}
 }
 
 func TestDRAMBytesPerCycle(t *testing.T) {

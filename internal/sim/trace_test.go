@@ -55,7 +55,7 @@ func traceMatrix() []struct {
 		set  func(*Config)
 	}{
 		{"base/event", func(c *Config) {}},
-		{"base/dense", func(c *Config) { c.DenseClock = true }},
+		{"base/dense", func(c *Config) { c.denseClock = true }},
 		{"duplo/event", func(c *Config) {
 			c.Duplo = true
 			c.DetectCfg.LHB = duplo.DefaultLHBConfig()
@@ -63,7 +63,7 @@ func traceMatrix() []struct {
 		{"duplo/dense", func(c *Config) {
 			c.Duplo = true
 			c.DetectCfg.LHB = duplo.DefaultLHBConfig()
-			c.DenseClock = true
+			c.denseClock = true
 		}},
 	}
 }
@@ -145,9 +145,9 @@ func TestIntervalConservation(t *testing.T) {
 			cfg.DetectCfg.LHB = duplo.DefaultLHBConfig()
 		}
 		evCfg := cfg
-		evCfg.DenseClock = false
+		evCfg.denseClock = false
 		deCfg := cfg
-		deCfg.DenseClock = true
+		deCfg.denseClock = true
 
 		evRes, evCol := collect(t, evCfg, k, interval)
 		deRes, deCol := collect(t, deCfg, k, interval)

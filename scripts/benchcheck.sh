@@ -3,15 +3,17 @@
 # baselines (BENCH_predictor.json, BENCH_serving.json; see scripts/bench.sh,
 # which writes them with commit/date stamps).
 #
-# For every benchmark named in the baselines' go_bench arrays that still
-# exists, run it once with -benchmem and compare allocs/op:
+# Run every benchmark named in the baselines' go_bench arrays once with
+# -benchmem and compare allocs/op:
 #
 #   * allocs/op regression beyond THRESHOLD% (default 25) + SLACK allocs
 #     (default 64, absorbing one-shot lazy-init noise at -benchtime=1x)
 #     FAILS the gate — allocation counts are deterministic, so a jump is a
 #     real hot-path regression, not machine noise;
 #   * ns/op is printed for context but never fails — wall clock on shared
-#     CI runners is advisory only.
+#     CI runners is advisory only;
+#   * a baselined benchmark that produced no output (renamed or deleted)
+#     FAILS the gate — drop its entry from the baseline on purpose instead.
 #
 #   THRESHOLD=25 SLACK=64 BENCHTIME=1x scripts/benchcheck.sh
 set -euo pipefail
@@ -62,6 +64,7 @@ check_pkg() { # check_pkg <baseline.json> <package>
 			}'
 	} | awk -v thr="$THRESHOLD" -v slack="$SLACK" '
 		$1 == "base" { ba[$2] = $3; bns[$2] = $4; next }
+		$1 == "cur" { seen[$2] = 1 }
 		$1 == "cur" && ($2 in ba) {
 			limit = ba[$2] * (1 + thr / 100) + slack
 			delta = bns[$2] > 0 ? sprintf("%+.0f%%", 100 * ($4 - bns[$2]) / bns[$2]) : "n/a"
@@ -74,7 +77,13 @@ check_pkg() { # check_pkg <baseline.json> <package>
 					$2, ba[$2], $3, bns[$2], $4, delta
 			}
 		}
-		END { exit bad }
+		END {
+			for (n in ba) if (!(n in seen)) {
+				printf "FAIL %s baselined but produced no benchmark output\n", n
+				bad = 1
+			}
+			exit bad
+		}
 	'; then
 		FAIL=1
 	fi
@@ -84,7 +93,7 @@ check_pkg BENCH_predictor.json ./internal/sim/
 check_pkg BENCH_serving.json ./internal/serving/
 
 if [ "$FAIL" != 0 ]; then
-	echo "benchcheck: allocs/op regressed beyond ${THRESHOLD}%+${SLACK} — if intentional, rerun scripts/bench.sh and commit the new baselines" >&2
+	echo "benchcheck: allocs/op regressed beyond ${THRESHOLD}%+${SLACK} or a baselined benchmark is missing — if intentional, rerun scripts/bench.sh and commit the new baselines" >&2
 	exit 1
 fi
 echo "benchcheck: all allocation baselines hold" >&2
