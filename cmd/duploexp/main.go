@@ -74,39 +74,26 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"duplo/internal/cli"
 	"duplo/internal/experiments"
-	"duplo/internal/profiling"
-	"duplo/internal/store"
 	"duplo/internal/workload"
 )
 
 var (
+	common     = cli.Bind(flag.CommandLine)
 	exp        = flag.String("exp", "all", "experiment id (see package doc), 'all', or 'none'")
-	ctas       = flag.Int("ctas", 96, "max CTAs simulated per kernel")
-	simSMs     = flag.Int("sms", 4, "number of SMs simulated")
-	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 	full       = flag.Bool("full", false, "simulate full grids (removes the CTA cap; slow)")
 	verbose    = flag.Bool("v", false, "print progress")
 	csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceCell  = flag.String("trace-cell", "", `trace one cell "Net/Layer" (e.g. ResNet/C2)`)
 	traceOut   = flag.String("trace", "", "write the traced cell's Perfetto/Chrome timeline to this file")
 	metricsCSV = flag.String("metrics-csv", "", "write the traced cell's per-interval metrics CSV to this file")
 	traceDuplo = flag.Bool("trace-duplo", true, "trace the cell's Duplo run (false = baseline)")
 	interval   = flag.Int64("interval", 10000, "metrics interval in cycles for the traced cell")
 	timeout    = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none); partial tables are flushed")
-	maxCycles  = flag.Int64("max-cycles", 0, "abort any single simulation past this many cycles (0 = simulator default)")
-	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
-	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted cells are marked '~'; see DESIGN.md §9)")
-	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound: predict only when the family's calibrated MAPE is below this (0 = never predict)")
-	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
 
 	seed         = flag.Int64("seed", 0, "serving cluster RNG seed (0 = default 1); fixed seed => byte-identical cluster tables at any worker count")
 	clusterTL    = flag.String("cluster-timeline", "", "write a Chrome/Perfetto timeline of one cluster serving cell to this file")
@@ -115,61 +102,26 @@ var (
 	clusterDuplo = flag.Bool("cluster-duplo", true, "export the cluster cell with Duplo on (false = baseline fleet)")
 )
 
-// errUnknownExperiment preserves the historical exit code 2 for a bad -exp.
-var errUnknownExperiment = errors.New("unknown experiment")
+// Ctrl-C / SIGTERM cancels in-flight simulations through the context; the
+// engine returns partial tables with ERR cells, which still get rendered
+// before the non-zero exit.
+func main() { common.Main("duploexp", run) }
 
-func main() {
-	flag.Parse()
-	// Ctrl-C / SIGTERM cancels in-flight simulations through the context;
-	// the engine returns partial tables with ERR cells, which still get
-	// rendered before the non-zero exit. A second signal kills the process
-	// the usual way (NotifyContext restores the default handler on stop).
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+func run(ctx context.Context) error {
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
-	if err == nil {
-		err = run(ctx)
-		if e := stop(); err == nil {
-			err = e
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duploexp:", err)
-		if errors.Is(err, errUnknownExperiment) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
-
-func run(ctx context.Context) error {
-	mode, err := experiments.ParsePredictorMode(*predict)
+	opts, err := common.Options(ctx, experiments.Options{Verbose: *verbose, Seed: *seed})
 	if err != nil {
 		return err
 	}
-	opts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Verbose: *verbose,
-		Context: ctx, MaxCycles: *maxCycles, CrashDumpDir: *crashDir,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath, Seed: *seed}
 	if *full {
 		opts.MaxCTAs = 0
 	}
-	if err := opts.Config().Validate(); err != nil {
-		return err
-	}
 	if *verbose {
 		opts.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		opts.Store = st
 	}
 	r := experiments.NewRunner(opts)
 
@@ -206,7 +158,7 @@ func run(ctx context.Context) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("%w %q", errUnknownExperiment, *exp)
+			return fmt.Errorf("%w: unknown experiment %q", cli.ErrUsage, *exp)
 		}
 	}
 	if err := traceCellRun(r); err != nil {
@@ -254,24 +206,10 @@ func traceCellRun(r *experiments.Runner) error {
 	if err != nil {
 		return err
 	}
-	write := func(path string, dump func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := dump(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(*traceOut, col.WritePerfetto); err != nil {
+	if err := cli.WriteFile(*traceOut, col.WritePerfetto); err != nil {
 		return err
 	}
-	if err := write(*metricsCSV, col.WriteCSV); err != nil {
+	if err := cli.WriteFile(*metricsCSV, col.WriteCSV); err != nil {
 		return err
 	}
 	mode := "duplo"
@@ -298,24 +236,10 @@ func clusterCellRun(r *experiments.Runner) error {
 	if err != nil {
 		return err
 	}
-	write := func(path string, dump func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := dump(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(*clusterTL, m.WriteTimeline); err != nil {
+	if err := cli.WriteFile(*clusterTL, m.WriteTimeline); err != nil {
 		return err
 	}
-	if err := write(*clusterQCSV, func(w io.Writer) error { m.QueueDepthTable().CSV(w); return nil }); err != nil {
+	if err := cli.WriteFile(*clusterQCSV, func(w io.Writer) error { m.QueueDepthTable().CSV(w); return nil }); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "cluster cell (load %.1fx, duplo=%v): %s\n", *clusterLoad, *clusterDuplo, m.Summary())

@@ -33,64 +33,35 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 
+	"duplo/internal/cli"
 	duplo "duplo/internal/core"
 	"duplo/internal/experiments"
-	"duplo/internal/profiling"
 	"duplo/internal/sim"
-	"duplo/internal/store"
 	"duplo/internal/trace"
 	"duplo/internal/workload"
 )
 
 var (
+	common     = cli.Bind(flag.CommandLine)
 	net        = flag.String("net", "ResNet", "network (ResNet, GAN, YOLO)")
 	layer      = flag.String("layer", "C2", "layer name from Table I (C1.., TC1..)")
 	lhb        = flag.Int("lhb", 1024, "LHB entries")
 	ways       = flag.Int("ways", 1, "LHB associativity")
 	oracle     = flag.Bool("oracle", false, "infinite LHB")
-	ctas       = flag.Int("ctas", 96, "max CTAs simulated (0 = full grid)")
-	simSMs     = flag.Int("sms", 4, "SMs simulated")
 	batch      = flag.Int("batch", 0, "override batch size (default Table I's 8)")
-	workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOut   = flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON timeline to this file")
 	metricsCSV = flag.String("metrics-csv", "", "write per-interval time-series metrics CSV to this file")
 	interval   = flag.Int64("interval", 10000, "metrics interval in cycles (for -trace/-metrics-csv)")
 	traceRun   = flag.String("trace-run", "duplo", "which run the tracer observes: base or duplo")
 	timeout    = flag.Duration("timeout", 0, "abort either simulation past this much wall-clock time (0 = none)")
-	maxCycles  = flag.Int64("max-cycles", 0, "abort either simulation past this many cycles (0 = simulator default)")
-	crashDir   = flag.String("crash-dir", "", "directory for watchdog/panic crash dumps (default: system temp dir)")
-	storeDir   = flag.String("store", "", "directory of the on-disk result store (warm-starts identical runs; created if missing)")
-	predict    = flag.String("predict", "off", "calibrated analytical fast path: off | predict-all | hybrid (predicted stats are labeled; see DESIGN.md §9)")
-	predBound  = flag.Float64("predict-bound", 0.15, "hybrid mode's uncertainty bound (0 = never predict)")
-	calibPath  = flag.String("calibration", "", "calibration artifact path (default: <store>/calibration/<key>.json when -store is set, else in-memory only)")
 )
 
-func main() {
-	flag.Parse()
-	// Ctrl-C / SIGTERM cancels the in-flight simulations; the error names
-	// the cancellation point. A second signal kills the process outright.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
-	if err == nil {
-		err = run(ctx)
-		if e := stop(); err == nil {
-			err = e
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "duplosim:", err)
-		os.Exit(1)
-	}
-}
+// Ctrl-C / SIGTERM cancels the in-flight simulations; the error names the
+// cancellation point.
+func main() { common.Main("duplosim", run) }
 
 func run(ctx context.Context) error {
 	l, err := workload.Find(*net, *layer)
@@ -104,21 +75,15 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	mode, err := experiments.ParsePredictorMode(*predict)
+	ropts, err := common.Options(ctx, experiments.Options{WallTimeout: *timeout})
 	if err != nil {
 		return err
 	}
-	ropts := experiments.Options{MaxCTAs: *ctas, SimSMs: *simSMs, Workers: *workers, Context: ctx,
-		MaxCycles: *maxCycles, WallTimeout: *timeout, CrashDumpDir: *crashDir,
-		Predictor: mode, PredictBound: *predBound, CalibrationPath: *calibPath}
 	cfg := ropts.Config()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 
 	fmt.Printf("%s: %v\n", l.FullName(), l.GemmParams())
 	fmt.Printf("GEMM %dx%dx%d (padded %dx%dx%d), %d CTAs total, simulating %d on %d SMs\n\n",
-		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), min(*ctas, k.TotalCTAs()), cfg.SimSMs)
+		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), min(ropts.MaxCTAs, k.TotalCTAs()), cfg.SimSMs)
 
 	dcfg := cfg
 	dcfg.Duplo = true
@@ -142,13 +107,6 @@ func run(ctx context.Context) error {
 	// baseline and Duplo simulations execute concurrently, and -store
 	// warm-starts them from the on-disk result store (a traced run always
 	// executes — the collector must observe a real execution).
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			return err
-		}
-		ropts.Store = st
-	}
 	r := experiments.NewRunner(ropts)
 	var base, dup sim.Result
 	var baseErr, dupErr error
@@ -190,24 +148,10 @@ func run(ctx context.Context) error {
 
 // writeExports dumps the collected run to the requested files.
 func writeExports(col *trace.Collector) error {
-	write := func(path string, dump func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := dump(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(*traceOut, col.WritePerfetto); err != nil {
+	if err := cli.WriteFile(*traceOut, col.WritePerfetto); err != nil {
 		return err
 	}
-	if err := write(*metricsCSV, col.WriteCSV); err != nil {
+	if err := cli.WriteFile(*metricsCSV, col.WriteCSV); err != nil {
 		return err
 	}
 	if n := col.Dropped(); n > 0 {

@@ -315,32 +315,18 @@ func (r *Runner) runTier(ctx context.Context, k *sim.Kernel, cfg sim.Config, hea
 	// Predicted results memoize under their own key prefix: a predicted
 	// entry can never shadow (or be shadowed by) ground truth for the same
 	// cell, and eviction/singleflight semantics carry over unchanged.
-	key := "pred|" + r.key(k.Name, cfg)
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		r.memHits.Add(1)
-		<-e.done
-		return e.res, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
-	res, ok := cal.PredictResult(k, cfg)
-	if !ok {
-		// Unreachable (Model gate-checked above) — but degrade, don't trust.
-		e.err = fmt.Errorf("predictor: no model for %s", k.Name)
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
+	res, err := r.once("pred|"+r.key(k.Name, cfg), func() (sim.Result, error) {
+		res, ok := cal.PredictResult(k, cfg)
+		if !ok {
+			return sim.Result{}, fmt.Errorf("predictor: no model for %s", k.Name)
 		}
-		r.mu.Unlock()
-		close(e.done)
+		r.predicted.Add(1)
+		return res, nil
+	})
+	if err != nil {
+		// Unreachable (Model gate-checked above) — but degrade, don't trust.
 		return r.RunCtx(ctx, k, cfg)
 	}
-	r.predicted.Add(1)
-	e.res = res
-	close(e.done)
 	return res, nil
 }
 

@@ -195,13 +195,45 @@ func (r *Runner) progress(format string, args ...interface{}) {
 	}
 }
 
-// key builds a cache key for a kernel/config combination.
+// key builds a cache key for a kernel/config combination. The run budgets
+// (MaxCycles, WallTimeout) are left out: they decide whether a run
+// finishes, never what a finished run computes, and only finished runs
+// stay cached.
 func (r *Runner) key(kernelName string, cfg sim.Config) string {
 	d := cfg.DetectCfg
-	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|b=%d|rl=%d|l1=%d|l2=%d|mc=%d|wt=%v",
+	return fmt.Sprintf("%s|d=%v|e=%d,w=%d,o=%v,ne=%v,mi=%v|lat=%d|cta=%d|sm=%d|rl=%d|l1=%d|l2=%d",
 		kernelName, cfg.Duplo, d.LHB.Entries, d.LHB.Ways, d.LHB.Oracle, d.LHB.NeverEvict, d.LHB.ModuloIndex,
-		d.LatencyCycles, cfg.MaxCTAs, cfg.SimSMs, 0, cfg.RetireDelay, cfg.L1KB, cfg.L2KB,
-		cfg.MaxCycles, cfg.WallTimeout)
+		d.LatencyCycles, cfg.MaxCTAs, cfg.SimSMs, cfg.RetireDelay, cfg.L1KB, cfg.L2KB)
+}
+
+// once is the singleflight slot every cached tier shares: the first caller
+// for key runs fn, concurrent callers wait for its outcome (a memo hit
+// each). Only successes stay cached — a failed entry is evicted before
+// its waiters wake, so a later request retries instead of being served a
+// poisoned key for the process lifetime.
+func (r *Runner) once(key string, fn func() (sim.Result, error)) (sim.Result, error) {
+	r.mu.Lock()
+	if e, ok := r.cache[key]; ok {
+		r.mu.Unlock()
+		r.memHits.Add(1)
+		<-e.done
+		return e.res, e.err
+	}
+	e := &cacheEntry{done: make(chan struct{})}
+	r.cache[key] = e
+	r.mu.Unlock()
+	e.res, e.err = fn()
+	if e.err != nil {
+		// Guard on identity — a retry may have installed a fresh entry in
+		// the window.
+		r.mu.Lock()
+		if r.cache[key] == e {
+			delete(r.cache, key)
+		}
+		r.mu.Unlock()
+	}
+	close(e.done)
+	return e.res, e.err
 }
 
 // Run obtains kernel k's result under cfg, memoized and singleflighted:
@@ -231,71 +263,52 @@ func (r *Runner) RunHeadline(k *sim.Kernel, cfg sim.Config) (sim.Result, error) 
 // request's execution: when this request ends up being the one that
 // simulates, ctx (not the runner-wide context) cancels it. Coalesced
 // waiters share the executing request's fate — a cancelled executor
-// propagates its error to the waiters, and the eviction semantics mean
-// their retry re-simulates. duploserved uses this for per-job
-// cancellation on a shared runner; a nil ctx selects the runner-wide
-// context. RunCtx never predicts: single-run requests (POST /v1/runs,
-// duplosim's default) are ground-truth API surface.
+// propagates its error to the waiters, and so does one that exceeded a
+// tighter MaxCycles/WallTimeout than a waiter asked for (the budgets are
+// not part of the key); the eviction semantics mean their retry
+// re-simulates. duploserved uses this for per-job cancellation on a
+// shared runner; a nil ctx selects the runner-wide context. RunCtx never
+// predicts: single-run requests (POST /v1/runs, duplosim's default) are
+// ground-truth API surface.
 func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
 	if ctx == nil {
 		ctx = r.ctx
 	}
 	key := r.key(k.Name, cfg)
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		r.memHits.Add(1)
-		<-e.done
-		return e.res, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
+	return r.once(key, func() (sim.Result, error) {
+		// Disk tier. Traced runs bypass it in both directions: a collector
+		// must observe an actual execution, and its result (byte-identical
+		// by the tracing contract) would be a redundant write. The lookup
+		// happens before a pool slot is taken — a store hit never occupies
+		// simulation capacity.
+		persist := r.store != nil && cfg.Tracer == nil
+		if persist {
+			if rec, ok := r.store.Get(key); ok {
+				r.storeHits.Add(1)
+				return rec.Result(k, cfg), nil
+			}
+		}
 
-	// Disk tier. Traced runs bypass it in both directions: a collector
-	// must observe an actual execution, and its result (byte-identical by
-	// the tracing contract) would be a redundant write. The lookup happens
-	// before a pool slot is taken — a store hit never occupies simulation
-	// capacity.
-	persist := r.store != nil && cfg.Tracer == nil
-	if persist {
-		if rec, ok := r.store.Get(key); ok {
-			r.storeHits.Add(1)
-			e.res = rec.Result(k, cfg)
-			close(e.done)
-			return e.res, nil
+		r.sem <- struct{}{}
+		r.execs.Add(1)
+		ar := r.arenas.Get().(*sim.Arena)
+		res, err := r.simFn(ctx, cfg, k, ar)
+		// Unconditional recycle: a failed run leaves the arena marked
+		// dirty, and the next run through it rebuilds instead of reusing.
+		r.arenas.Put(ar)
+		<-r.sem
+		// A failed run is never persisted, so the disk tier inherits the
+		// eviction semantics: it can never be served from the store.
+		if err == nil && persist {
+			// Best-effort: a full disk must not fail the sweep. The error
+			// is surfaced on the progress sink and in the store's
+			// PutErrors counter (statsz).
+			if perr := r.store.Put(key, store.RecordOf(res)); perr != nil {
+				r.progress("store: persist %s: %v", k.Name, perr)
+			}
 		}
-	}
-
-	r.sem <- struct{}{}
-	r.execs.Add(1)
-	ar := r.arenas.Get().(*sim.Arena)
-	e.res, e.err = r.simFn(ctx, cfg, k, ar)
-	// Unconditional recycle: a failed run leaves the arena marked dirty,
-	// and the next run through it rebuilds instead of reusing.
-	r.arenas.Put(ar)
-	<-r.sem
-	if e.err != nil {
-		// Evict before closing done: once waiters wake, the failed key
-		// must already be gone. Guard on identity — a retry may have
-		// installed a fresh entry in the window. Nothing is persisted, so
-		// the disk tier inherits the same semantics: a failed run can
-		// never be served from the store.
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
-		r.mu.Unlock()
-	} else if persist {
-		// Best-effort: a full disk must not fail the sweep. The error is
-		// surfaced on the progress sink and in the store's PutErrors
-		// counter (statsz).
-		if perr := r.store.Put(key, store.RecordOf(e.res)); perr != nil {
-			r.progress("store: persist %s: %v", k.Name, perr)
-		}
-	}
-	close(e.done)
-	return e.res, e.err
+		return res, err
+	})
 }
 
 // fanOutAll runs n independent tasks on the worker pool and returns one

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"duplo/internal/sim"
 	"duplo/internal/store"
@@ -73,6 +74,47 @@ func TestStoreWarmStartDeterminism(t *testing.T) {
 	if warmRunner.StoreHits() != coldRunner.Execs() {
 		t.Errorf("warm store hits %d != cold executions %d",
 			warmRunner.StoreHits(), coldRunner.Execs())
+	}
+}
+
+// TestRunBudgetsShareKey pins that the run budgets stay out of the cache
+// key: a finished run's result does not depend on how much budget it had
+// left, so runs that differ only in MaxCycles/WallTimeout share one memo
+// entry and one store record.
+func TestRunBudgetsShareKey(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := QuickOptions()
+	opts.Store = st
+	k, err := sim.NewConvKernel("budgets", hammerLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := opts.config()
+	tight := def
+	tight.MaxCycles = 1 << 40
+	tight.WallTimeout = time.Hour
+
+	r := NewRunner(opts)
+	want, err := r.Run(k, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := r.Run(k, tight); err != nil || res.Stats != want.Stats {
+		t.Fatalf("budgeted run: err=%v, stats differ: %v", err, res.Stats != want.Stats)
+	}
+	if n := r.Execs(); n != 1 {
+		t.Errorf("one runner: %d executions, want 1", n)
+	}
+
+	r2 := NewRunner(opts)
+	if res, err := r2.Run(k, tight); err != nil || res.Stats != want.Stats {
+		t.Fatalf("second runner: err=%v, stats differ: %v", err, res.Stats != want.Stats)
+	}
+	if r2.StoreHits() != 1 || r2.Execs() != 0 {
+		t.Errorf("second runner: %d store hits, %d executions; want 1, 0", r2.StoreHits(), r2.Execs())
 	}
 }
 
