@@ -79,6 +79,8 @@ import (
 
 	"duplo/internal/cli"
 	"duplo/internal/experiments"
+	"duplo/internal/sim"
+	"duplo/internal/trace"
 	"duplo/internal/workload"
 )
 
@@ -161,7 +163,7 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("%w: unknown experiment %q", cli.ErrUsage, *exp)
 		}
 	}
-	if err := traceCellRun(r); err != nil {
+	if err := traceCellRun(r, opts.Config()); err != nil {
 		failed = append(failed, "trace-cell")
 		fmt.Fprintf(os.Stderr, "duploexp: trace-cell: %v\n", err)
 	}
@@ -185,9 +187,10 @@ func run(ctx context.Context) error {
 	return nil
 }
 
-// traceCellRun re-simulates the -trace-cell cell with the event collector
-// attached (bypassing the run cache) and writes the requested exports.
-func traceCellRun(r *experiments.Runner) error {
+// traceCellRun re-simulates the -trace-cell cell under cfg with the event
+// collector attached (a traced run bypasses the run cache) and writes the
+// requested exports.
+func traceCellRun(r *experiments.Runner, cfg sim.Config) error {
 	if *traceCell == "" {
 		if *traceOut != "" || *metricsCSV != "" {
 			return errors.New("-trace/-metrics-csv need -trace-cell \"Net/Layer\"")
@@ -202,10 +205,21 @@ func traceCellRun(r *experiments.Runner) error {
 	if err != nil {
 		return err
 	}
-	res, col, err := r.TraceRun(l, *traceDuplo, *interval, 0)
+	k, err := experiments.LayerKernel(l)
 	if err != nil {
 		return err
 	}
+	if *traceDuplo {
+		cfg.Duplo = true
+		cfg.DetectCfg.LHB = experiments.DefaultLHB
+	}
+	col := trace.NewCollector(cfg.TraceMeta(*interval))
+	cfg.Tracer = col
+	res, err := r.Run(k, cfg)
+	if err != nil {
+		return err
+	}
+	col.Finish(res.Cycles)
 	if err := cli.WriteFile(*traceOut, col.WritePerfetto); err != nil {
 		return err
 	}

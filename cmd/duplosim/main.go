@@ -68,10 +68,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if *batch > 0 {
-		l.Params = l.Params.WithBatch(*batch)
-	}
-	k, err := sim.NewConvKernel(l.FullName(), l.GemmParams())
+	k, err := experiments.BatchKernel(l, *batch)
 	if err != nil {
 		return err
 	}
@@ -81,7 +78,7 @@ func run(ctx context.Context) error {
 	}
 	cfg := ropts.Config()
 
-	fmt.Printf("%s: %v\n", l.FullName(), l.GemmParams())
+	fmt.Printf("%s: %v\n", l.FullName(), *k.Conv)
 	fmt.Printf("GEMM %dx%dx%d (padded %dx%dx%d), %d CTAs total, simulating %d on %d SMs\n\n",
 		k.M, k.N, k.K, k.MPad, k.NPad, k.KPad, k.TotalCTAs(), min(ropts.MaxCTAs, k.TotalCTAs()), cfg.SimSMs)
 

@@ -3,89 +3,12 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"duplo/internal/report"
-	"duplo/internal/workload"
 )
 
 // errCell is what a failed sweep cell renders as. Failure identity is
 // per-task, not per-schedule, so a partial table is byte-identical at
 // every worker count.
 const errCell = "ERR"
-
-// renderGrid assembles the layers x cols body and the aggregate footer of
-// a sweep table. errs[li*cols+ci] marks failed cells, which render
-// errCell; an aggregate over a column containing any failed cell is
-// itself errCell — a silently partial gmean would masquerade as the
-// paper's headline number.
-//
-// pred, when non-nil, carries per-cell predicted errors (predErrOf
-// convention: -1 = ground truth, >= 0 = predicted with that expected
-// relative error): predicted cells render with the "~" marker, a footer
-// over any predicted cell is marked too, and the table gets the
-// predicted-legend note with the max predicted error. A nil (or
-// all-ground-truth) pred leaves the output byte-identical to the
-// pre-predictor rendering.
-func renderGrid(t *report.Table, layers []workload.Layer, cols int, errs []error,
-	vals, pred [][]float64, cell func(float64) string, aggName string, agg func([]float64) float64) {
-	colVals := make([][]float64, cols)
-	colErr := make([]bool, cols)
-	colPred := make([]bool, cols)
-	var flat []float64
-	predAt := func(li, ci int) float64 {
-		if pred == nil {
-			return -1
-		}
-		return pred[li][ci]
-	}
-	for li, l := range layers {
-		row := []string{l.FullName()}
-		for ci := 0; ci < cols; ci++ {
-			if errs[li*cols+ci] != nil {
-				colErr[ci] = true
-				row = append(row, errCell)
-				continue
-			}
-			pe := predAt(li, ci)
-			if pe >= 0 {
-				colPred[ci] = true
-			}
-			flat = append(flat, pe)
-			colVals[ci] = append(colVals[ci], vals[li][ci])
-			row = append(row, markPred(cell(vals[li][ci]), pe))
-		}
-		t.AddRowCells(row)
-	}
-	foot := []string{aggName}
-	for ci := 0; ci < cols; ci++ {
-		switch {
-		case colErr[ci]:
-			foot = append(foot, errCell)
-		case colPred[ci]:
-			foot = append(foot, cell(agg(colVals[ci]))+predictedMark)
-		default:
-			foot = append(foot, cell(agg(colVals[ci])))
-		}
-	}
-	t.AddRowCells(foot)
-	predNote(t, flat)
-}
-
-// footerCell renders an aggregate footer cell: errCell when any
-// contributing cell failed, the rendered aggregate otherwise.
-func footerCell(failed bool, s string) string {
-	if failed {
-		return errCell
-	}
-	return s
-}
-
-// gridLabel names cell i of a layers x cols sweep ("ResNet/C2/1024-entry").
-func gridLabel(layers []workload.Layer, cols int, colName func(ci int) string) func(i int) string {
-	return func(i int) string {
-		return layers[i/cols].FullName() + "/" + colName(i%cols)
-	}
-}
 
 // SweepError aggregates the per-cell failures of one experiment sweep.
 // The experiment still returns its table — failed cells render "ERR" —

@@ -55,8 +55,9 @@ type Options struct {
 	// persisted, so sweeps warm-start across invocations (and across the
 	// clients of a duploserved daemon sharing one directory). Failed runs
 	// are never persisted — the failed-run eviction semantics extend to
-	// the disk tier — and traced runs bypass the store entirely, because a
-	// collector must observe an actual execution.
+	// the disk tier — and traced runs bypass the memory cache and the
+	// store entirely, because a collector must observe an actual
+	// execution.
 	Store *store.Store
 
 	// Predictor selects the calibrated analytical fast path (DESIGN.md §9):

@@ -11,8 +11,15 @@ import (
 // BatchKernel builds the forward GEMM kernel for a layer at an explicit
 // batch size, named so runs land on the same cache/store keys as the
 // Fig. 13 batch sweep ("Net/Layer@b16"): a cluster experiment re-renders
-// warm from a store a fig13 run already filled, and vice versa.
+// warm from a store a fig13 run already filled, and vice versa. It is the
+// one place batch overrides are named — duplosim -batch and duploserved's
+// batch field build through it too — so an overridden run can never share
+// a key with the Table I batch. A batch <= 0 keeps Table I's batch
+// (LayerKernel).
 func BatchKernel(l workload.Layer, batch int) (*sim.Kernel, error) {
+	if batch <= 0 {
+		return LayerKernel(l)
+	}
 	lb := l
 	lb.Params = l.Params.WithBatch(batch)
 	k, err := LayerKernel(lb)
@@ -53,8 +60,7 @@ func (r *Runner) ServingLatencies(layers []workload.Layer, batches []int, clockM
 		}
 		cfg := r.opts.config()
 		if d == 1 {
-			cfg.Duplo = true
-			cfg.DetectCfg.LHB = DefaultLHB
+			cfg = r.duploConfig(DefaultLHB)
 		}
 		res, err := r.Run(k, cfg)
 		if err != nil {

@@ -69,7 +69,7 @@ func TestHybridBoundZeroByteIdentical(t *testing.T) {
 	// fig14 is omitted: it sweeps every network regardless of the layer
 	// restriction (minutes even at the tiny scale), and its predicted-cell
 	// marking goes through the same markPred/predNote helpers fig9-13
-	// exercise. Its bound-0 behavior is structural (runTier short-circuits
+	// exercise. Its bound-0 behavior is structural (Runner.run short-circuits
 	// to RunCtx before touching predictor state).
 	for _, id := range []string{"fig9", "fig10", "fig11", "fig12", "fig13"} {
 		se, _ := exact.Sweep(id)

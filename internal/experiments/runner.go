@@ -15,7 +15,6 @@ import (
 	"duplo/internal/report"
 	"duplo/internal/sim"
 	"duplo/internal/store"
-	"duplo/internal/trace"
 	"duplo/internal/workload"
 )
 
@@ -245,18 +244,9 @@ func (r *Runner) once(key string, fn func() (sim.Result, error)) (sim.Result, er
 //
 // When Options.Predictor enables the analytical fast path, Run may return
 // a predicted (marked, never persisted) result instead of simulating —
-// see runTier in predict.go for the exact decision. RunExact always
-// simulates.
+// see run in predict.go for the exact decision.
 func (r *Runner) Run(k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
-	return r.runTier(r.ctx, k, cfg, false)
-}
-
-// RunHeadline is Run for cells that feed a table's headline ratios: in
-// hybrid mode these always simulate (the safety contract), while
-// predict-all still predicts them (the caller asked for speed over
-// everything inside the gate).
-func (r *Runner) RunHeadline(k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
-	return r.runTier(r.ctx, k, cfg, true)
+	return r.run(k, cfg, predictable)
 }
 
 // RunCtx is the exact-tier Run with an explicit context governing this
@@ -270,36 +260,32 @@ func (r *Runner) RunHeadline(k *sim.Kernel, cfg sim.Config) (sim.Result, error) 
 // shared runner; a nil ctx selects the runner-wide context. RunCtx never
 // predicts: single-run requests (POST /v1/runs, duplosim's default) are
 // ground-truth API surface.
+//
+// A traced run (cfg.Tracer set) bypasses both cache tiers and always
+// executes: its collector must observe an actual execution, and its
+// result — byte-identical to an untraced twin's by the tracing contract —
+// would be a redundant entry.
 func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
 	if ctx == nil {
 		ctx = r.ctx
 	}
+	if cfg.Tracer != nil {
+		return r.execute(ctx, k, cfg)
+	}
 	key := r.key(k.Name, cfg)
 	return r.once(key, func() (sim.Result, error) {
-		// Disk tier. Traced runs bypass it in both directions: a collector
-		// must observe an actual execution, and its result (byte-identical
-		// by the tracing contract) would be a redundant write. The lookup
-		// happens before a pool slot is taken — a store hit never occupies
-		// simulation capacity.
-		persist := r.store != nil && cfg.Tracer == nil
-		if persist {
+		// Disk tier. The lookup happens before a pool slot is taken — a
+		// store hit never occupies simulation capacity.
+		if r.store != nil {
 			if rec, ok := r.store.Get(key); ok {
 				r.storeHits.Add(1)
 				return rec.Result(k, cfg), nil
 			}
 		}
-
-		r.sem <- struct{}{}
-		r.execs.Add(1)
-		ar := r.arenas.Get().(*sim.Arena)
-		res, err := r.simFn(ctx, cfg, k, ar)
-		// Unconditional recycle: a failed run leaves the arena marked
-		// dirty, and the next run through it rebuilds instead of reusing.
-		r.arenas.Put(ar)
-		<-r.sem
+		res, err := r.execute(ctx, k, cfg)
 		// A failed run is never persisted, so the disk tier inherits the
 		// eviction semantics: it can never be served from the store.
-		if err == nil && persist {
+		if err == nil && r.store != nil {
 			// Best-effort: a full disk must not fail the sweep. The error
 			// is surfaced on the progress sink and in the store's
 			// PutErrors counter (statsz).
@@ -309,6 +295,19 @@ func (r *Runner) RunCtx(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim
 		}
 		return res, err
 	})
+}
+
+// execute simulates k under cfg on a pool slot with a pooled arena.
+func (r *Runner) execute(ctx context.Context, k *sim.Kernel, cfg sim.Config) (sim.Result, error) {
+	r.sem <- struct{}{}
+	r.execs.Add(1)
+	ar := r.arenas.Get().(*sim.Arena)
+	res, err := r.simFn(ctx, cfg, k, ar)
+	// Unconditional recycle: a failed run leaves the arena marked dirty,
+	// and the next run through it rebuilds instead of reusing.
+	r.arenas.Put(ar)
+	<-r.sem
+	return res, err
 }
 
 // fanOutAll runs n independent tasks on the worker pool and returns one
@@ -362,73 +361,34 @@ func (r *Runner) fanOut(n int, f func(i int) error) error {
 	return nil
 }
 
-// forEachLayer fans one task per layer out on the pool, returning one
-// error slot per layer.
-func (r *Runner) forEachLayer(layers []workload.Layer, f func(i int, l workload.Layer) error) []error {
-	return r.fanOutAll(len(layers), func(i int) error { return f(i, layers[i]) })
-}
-
 // LayerKernel builds the forward tensor-core GEMM kernel for a layer.
 func LayerKernel(l workload.Layer) (*sim.Kernel, error) {
 	return sim.NewConvKernel(l.FullName(), l.GemmParams())
 }
 
-// Baseline runs the layer without Duplo (predict-aware; headline marks
-// cells feeding a table's headline ratios, which hybrid mode always
-// simulates).
-func (r *Runner) Baseline(l workload.Layer) (sim.Result, error) {
-	return r.baseline(l, false)
+// duploConfig is the runner's base config with Duplo on at lhb.
+func (r *Runner) duploConfig(lhb duplo.LHBConfig) sim.Config {
+	cfg := r.opts.config()
+	cfg.Duplo = true
+	cfg.DetectCfg.LHB = lhb
+	return cfg
 }
 
-func (r *Runner) baseline(l workload.Layer, headline bool) (sim.Result, error) {
+// runLayer runs the layer's forward kernel under cfg at tier t.
+func (r *Runner) runLayer(l workload.Layer, cfg sim.Config, t tier) (sim.Result, error) {
 	k, err := LayerKernel(l)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return r.runTier(r.ctx, k, r.opts.config(), headline)
+	return r.run(k, cfg, t)
+}
+
+// Baseline runs the layer without Duplo (predict-aware).
+func (r *Runner) Baseline(l workload.Layer) (sim.Result, error) {
+	return r.runLayer(l, r.opts.config(), predictable)
 }
 
 // Duplo runs the layer with the given LHB configuration (predict-aware).
 func (r *Runner) Duplo(l workload.Layer, lhb duplo.LHBConfig) (sim.Result, error) {
-	return r.duplo(l, lhb, false)
-}
-
-func (r *Runner) duplo(l workload.Layer, lhb duplo.LHBConfig, headline bool) (sim.Result, error) {
-	k, err := LayerKernel(l)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cfg := r.opts.config()
-	cfg.Duplo = true
-	cfg.DetectCfg.LHB = lhb
-	return r.runTier(r.ctx, k, cfg, headline)
-}
-
-// TraceRun simulates one named cell — the layer at this runner's scale,
-// baseline or Duplo (DefaultLHB) — with an event collector attached, and
-// returns the finished collector alongside the result. It deliberately
-// bypasses the run cache: the memoized result of an untraced twin would
-// be byte-identical (tracing never perturbs a run), but the collector
-// must observe an actual execution. interval <= 0 selects
-// trace.DefaultInterval; ringCap <= 0 trace.DefaultRingCap.
-func (r *Runner) TraceRun(l workload.Layer, withDuplo bool, interval int64, ringCap int) (sim.Result, *trace.Collector, error) {
-	k, err := LayerKernel(l)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	cfg := r.opts.config()
-	if withDuplo {
-		cfg.Duplo = true
-		cfg.DetectCfg.LHB = DefaultLHB
-	}
-	meta := cfg.TraceMeta(interval)
-	meta.RingCap = ringCap
-	col := trace.NewCollector(meta)
-	cfg.Tracer = col
-	res, err := sim.Run(cfg, k)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	col.Finish(res.Cycles)
-	return res, col, nil
+	return r.runLayer(l, r.duploConfig(lhb), predictable)
 }

@@ -52,17 +52,11 @@ func (rq RunRequest) build(opts experiments.Options) (*sim.Kernel, sim.Config, e
 	if err != nil {
 		return nil, sim.Config{}, err
 	}
-	if rq.Batch > 0 {
-		l.Params = l.Params.WithBatch(rq.Batch)
-	}
-	k, err := experiments.LayerKernel(l)
+	// Batch-overridden kernels get a distinct name, like Fig. 13's sweep,
+	// so they occupy their own cache/store slots.
+	k, err := experiments.BatchKernel(l, rq.Batch)
 	if err != nil {
 		return nil, sim.Config{}, err
-	}
-	if rq.Batch > 0 {
-		// Batch-overridden kernels get a distinct name, like Fig. 13's
-		// sweep, so they occupy their own cache/store slots.
-		k.Name = fmt.Sprintf("%s@b%d", l.FullName(), rq.Batch)
 	}
 	cfg := opts.Config()
 	if rq.Duplo {
